@@ -1,6 +1,9 @@
 // Benchmarks regenerating every table and figure of the paper's evaluation
-// at a reduced scale (one per artifact; see DESIGN.md §3 for the index),
-// plus ablation benches for the design choices called out in DESIGN.md §5.
+// at a reduced scale (one per artifact; `p3qsim -exp list` prints the
+// index), plus ablation benches for the design choices the `ablations`
+// experiment tabulates (internal/experiments/extensions.go). The tracked
+// engine benches are described in ARCHITECTURE.md, "Benchmarks and the CI
+// bench workflow".
 //
 // Run them all with:
 //
@@ -72,7 +75,7 @@ func BenchmarkFig11cIncompleteQueries(b *testing.B)   { benchExperiment(b, "fig1
 func BenchmarkTheoryRAlpha(b *testing.B)              { benchExperiment(b, "theory") }
 func BenchmarkBandwidthSummary(b *testing.B)          { benchExperiment(b, "bandwidth") }
 
-// --- Ablation benches (DESIGN.md §5) ---
+// --- Ablation benches (the `ablations` experiment) ---
 
 // benchWorld builds a seeded engine world for the ablations.
 func benchWorld(b *testing.B, mutate func(*core.Config)) (*p3q.Dataset, *p3q.Engine) {

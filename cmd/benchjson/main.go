@@ -18,8 +18,9 @@
 // The -compare mode diffs two previously archived artifacts: it prints the
 // ns/op and allocs/op deltas of every benchmark present in both, and exits
 // non-zero when a tracked benchmark (by default the
-// BenchmarkLazyConvergence5k, BenchmarkEagerBurst5k and
-// BenchmarkLazyConvergence100k families, override with -track) slowed down
+// BenchmarkLazyConvergence5k, BenchmarkEagerBurst5k,
+// BenchmarkLazyConvergence100k and BenchmarkNRARun families, override
+// with -track) slowed down
 // or allocated more by more than -threshold (default 10%). The allocs/op
 // gate guards the pooled-plan engine: allocation counts are deterministic
 // where timings are noisy, so an allocation regression is meaningful even
@@ -69,9 +70,10 @@ type Report struct {
 
 // defaultTracked is the benchmark families whose regressions fail the
 // -compare mode: the two 5000-user engine benches the ROADMAP tracks
-// across commits, plus the 100k scaling probe the scheduled bench
-// workflow runs.
-const defaultTracked = "BenchmarkLazyConvergence5k,BenchmarkEagerBurst5k,BenchmarkLazyConvergence100k"
+// across commits, the 100k scaling probe the scheduled bench workflow
+// runs, and the querier-side NRA merge kernel (internal/topk), whose
+// allocs/op is deterministic.
+const defaultTracked = "BenchmarkLazyConvergence5k,BenchmarkEagerBurst5k,BenchmarkLazyConvergence100k,BenchmarkNRARun"
 
 func main() {
 	out := flag.String("o", "", "output file (default: stdout)")

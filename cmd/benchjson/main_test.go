@@ -146,6 +146,20 @@ func TestCompareAllocsMissingFromOldSide(t *testing.T) {
 	}
 }
 
+func TestCompareTracksNRARunAllocs(t *testing.T) {
+	// The NRA merge kernel is tracked by default: an allocs/op growth is
+	// flagged even when ns/op improved.
+	oldRep := mkMemReport(map[string][3]float64{"BenchmarkNRARun-2": {1000, 1766, 84680}})
+	newRep := mkMemReport(map[string][3]float64{"BenchmarkNRARun-2": {900, 2789, 131080}})
+	var out strings.Builder
+	if n := compareReports(oldRep, newRep, splitTracked(defaultTracked), 0.10, &out); n != 1 {
+		t.Fatalf("regressions = %d, want 1 (BenchmarkNRARun allocs/op +58%%)\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkNRARun") || !strings.Contains(out.String(), "[REGRESSION]") {
+		t.Fatalf("NRA kernel regression not reported:\n%s", out.String())
+	}
+}
+
 func TestCompareTracks100kFamily(t *testing.T) {
 	oldRep := mkReport(map[string]float64{"BenchmarkLazyConvergence100k/workers=1-8": 100})
 	newRep := mkReport(map[string]float64{"BenchmarkLazyConvergence100k/workers=1-8": 150})

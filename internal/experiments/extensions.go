@@ -117,11 +117,11 @@ func Expansion(cfg Config) []*metrics.Table {
 	return []*metrics.Table{t}
 }
 
-// Ablations prints the design-choice ablations of DESIGN.md §5 as a table
-// (the bench targets report the same numbers under go test -bench).
+// Ablations prints the design-choice ablations as a table (the bench
+// targets in bench_test.go report the same numbers under go test -bench).
 func Ablations(cfg Config) []*metrics.Table {
 	w := NewWorld(cfg)
-	t := metrics.NewTable("Extension — design ablations (DESIGN.md §5)",
+	t := metrics.NewTable("Extension — design ablations",
 		"design choice", "with (paper)", "without (naive)", "unit")
 
 	// 3-step exchange vs shipping advertised profiles in full.

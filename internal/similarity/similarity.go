@@ -13,7 +13,6 @@ package similarity
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 
 	"p3q/internal/tagging"
@@ -54,47 +53,70 @@ func (ix *Index) UsersFor(a tagging.Action) []tagging.UserID {
 	return ix.byAction[a.Key()]
 }
 
-// CoScores returns, for the user u, the similarity score with every user
-// sharing at least one action with her. u itself is excluded.
-func (ix *Index) CoScores(p *tagging.Profile) map[tagging.UserID]int {
-	out := make(map[tagging.UserID]int)
-	self := p.Owner()
-	for _, a := range p.Actions() {
-		for _, v := range ix.byAction[a.Key()] {
-			if v != self {
-				out[v]++
-			}
-		}
-	}
-	return out
-}
-
 // TopNeighbours returns the s best neighbours of the user by similarity
 // score (positive scores only), ordered by descending score with ascending
 // ID as the deterministic tie-break.
 func (ix *Index) TopNeighbours(p *tagging.Profile, s int) []Neighbour {
-	scores := ix.CoScores(p)
-	out := make([]Neighbour, 0, len(scores))
-	for id, sc := range scores {
-		if sc > 0 {
-			out = append(out, Neighbour{ID: id, Score: sc})
-		}
-	}
-	SortNeighbours(out)
-	if len(out) > s {
-		out = out[:s]
-	}
-	return out
+	return ix.newScorer().topNeighbours(p, s)
 }
 
-// SortNeighbours orders neighbours by descending score, ascending ID.
-func SortNeighbours(ns []Neighbour) {
-	sort.Slice(ns, func(i, j int) bool {
-		if ns[i].Score != ns[j].Score {
-			return ns[i].Score > ns[j].Score
+// scorer is one worker's scratch for TopNeighbours: a dense co-occurrence
+// score per user, reset after each profile through the list of users it
+// touched.
+type scorer struct {
+	ix      *Index
+	scores  []int32
+	touched []tagging.UserID
+}
+
+func (ix *Index) newScorer() *scorer {
+	return &scorer{ix: ix, scores: make([]int32, ix.users)}
+}
+
+// topNeighbours scores every user sharing an action with p's owner and
+// keeps the s best in a bounded sorted selection, so only the co-occurring
+// users are visited and none of them is sorted beyond the top s.
+func (sc *scorer) topNeighbours(p *tagging.Profile, s int) []Neighbour {
+	self := p.Owner()
+	for _, a := range p.Actions() {
+		for _, v := range sc.ix.byAction[a.Key()] {
+			if v == self {
+				continue
+			}
+			if sc.scores[v] == 0 {
+				sc.touched = append(sc.touched, v)
+			}
+			sc.scores[v]++
 		}
-		return ns[i].ID < ns[j].ID
-	})
+	}
+	s = max(s, 0)
+	top := make([]Neighbour, 0, min(s, len(sc.touched)))
+	for _, v := range sc.touched {
+		nb := Neighbour{ID: v, Score: int(sc.scores[v])}
+		sc.scores[v] = 0
+		if len(top) == s {
+			if s == 0 || !before(nb, top[s-1]) {
+				continue
+			}
+			top = top[:s-1]
+		}
+		i := len(top)
+		top = append(top, nb)
+		for ; i > 0 && before(nb, top[i-1]); i-- {
+			top[i] = top[i-1]
+		}
+		top[i] = nb
+	}
+	sc.touched = sc.touched[:0]
+	return top
+}
+
+// before reports whether a ranks ahead of b: higher score, then lower ID.
+func before(a, b Neighbour) bool {
+	if a.Score != b.Score {
+		return a.Score > b.Score
+	}
+	return a.ID < b.ID
 }
 
 // IdealNetworks computes the ideal personal network (top-s neighbours) of
@@ -123,8 +145,9 @@ func IdealNetworksWithIndex(d *trace.Dataset, ix *Index, s int) [][]Neighbour {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			sc := ix.newScorer()
 			for u := range next {
-				out[u] = ix.TopNeighbours(d.Profiles[u], s)
+				out[u] = sc.topNeighbours(d.Profiles[u], s)
 			}
 		}()
 	}

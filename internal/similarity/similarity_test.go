@@ -1,11 +1,48 @@
 package similarity
 
 import (
+	"sort"
 	"testing"
 
 	"p3q/internal/tagging"
 	"p3q/internal/trace"
 )
+
+// coScores is the reference model of the scorer: the similarity score of
+// the profile's owner with every user sharing at least one action with the
+// owner, in a map (the owner excluded).
+func coScores(ix *Index, p *tagging.Profile) map[tagging.UserID]int {
+	out := make(map[tagging.UserID]int)
+	self := p.Owner()
+	for _, a := range p.Actions() {
+		for _, v := range ix.byAction[a.Key()] {
+			if v != self {
+				out[v]++
+			}
+		}
+	}
+	return out
+}
+
+// refTopNeighbours is the reference model of the bounded selection: a full
+// sort of every co-occurring user, truncated to s.
+func refTopNeighbours(ix *Index, p *tagging.Profile, s int) []Neighbour {
+	scores := coScores(ix, p)
+	out := make([]Neighbour, 0, len(scores))
+	for id, sc := range scores {
+		out = append(out, Neighbour{ID: id, Score: sc})
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Score != out[j].Score {
+			return out[i].Score > out[j].Score
+		}
+		return out[i].ID < out[j].ID
+	})
+	if len(out) > s {
+		out = out[:s]
+	}
+	return out
+}
 
 func testDataset(seed uint64) *trace.Dataset {
 	p := trace.DefaultGenParams(120)
@@ -18,7 +55,7 @@ func TestIndexMatchesDirectScore(t *testing.T) {
 	d := testDataset(1)
 	ix := Build(d)
 	for u := 0; u < 20; u++ {
-		scores := ix.CoScores(d.Profiles[u])
+		scores := coScores(ix, d.Profiles[u])
 		for v := 0; v < d.Users(); v++ {
 			if v == u {
 				continue
@@ -35,8 +72,13 @@ func TestCoScoresExcludesSelf(t *testing.T) {
 	d := testDataset(2)
 	ix := Build(d)
 	for u := 0; u < d.Users(); u++ {
-		if _, ok := ix.CoScores(d.Profiles[u])[tagging.UserID(u)]; ok {
+		if _, ok := coScores(ix, d.Profiles[u])[tagging.UserID(u)]; ok {
 			t.Fatalf("user %d scored against herself", u)
+		}
+		for _, n := range ix.TopNeighbours(d.Profiles[u], d.Users()) {
+			if n.ID == tagging.UserID(u) {
+				t.Fatalf("user %d lists itself as a neighbour", u)
+			}
 		}
 	}
 }
@@ -87,18 +129,27 @@ func TestIdealNetworksDeterministic(t *testing.T) {
 }
 
 func TestIdealNetworksMatchPerUser(t *testing.T) {
-	d := testDataset(6)
-	ix := Build(d)
-	nets := IdealNetworksWithIndex(d, ix, 15)
-	for _, u := range []int{0, 7, 42} {
-		want := ix.TopNeighbours(d.Profiles[u], 15)
-		got := nets[u]
-		if len(got) != len(want) {
-			t.Fatalf("user %d: %d vs %d neighbours", u, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("user %d neighbour %d: %v vs %v", u, i, got[i], want[i])
+	// Every user's ideal network, and TopNeighbours alone, must equal the
+	// reference full sort of every co-occurring user, for sizes from 0 to
+	// above the number of co-occurring users (the workers reuse one
+	// scorer across users, so stale scores would show here).
+	for _, seed := range []uint64{6, 12} {
+		d := testDataset(seed)
+		ix := Build(d)
+		for _, s := range []int{0, 1, 5, 15, 500} {
+			nets := IdealNetworksWithIndex(d, ix, s)
+			for u := range nets {
+				want := refTopNeighbours(ix, d.Profiles[u], s)
+				for _, got := range [][]Neighbour{nets[u], ix.TopNeighbours(d.Profiles[u], s)} {
+					if len(got) != len(want) {
+						t.Fatalf("seed %d s=%d user %d: %d neighbours, reference %d", seed, s, u, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("seed %d s=%d user %d neighbour %d: %v, reference %v", seed, s, u, i, got[i], want[i])
+						}
+					}
+				}
 			}
 		}
 	}
@@ -183,3 +234,20 @@ func TestIdealNetworksAfterChanges(t *testing.T) {
 		t.Fatal("no score grew after applying a substantial change-set")
 	}
 }
+
+// BenchmarkIdealNetworks times the ideal-network oracle over a 2,000-user
+// trace (MeanItems 20, S=50), index build excluded.
+func BenchmarkIdealNetworks(b *testing.B) {
+	p := trace.DefaultGenParams(2000)
+	p.MeanItems = 20
+	d := trace.Generate(p)
+	ix := Build(d)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		networksSink = IdealNetworksWithIndex(d, ix, 50)
+	}
+}
+
+// networksSink keeps the benchmarked result live.
+var networksSink [][]Neighbour

@@ -2,6 +2,7 @@ package topk
 
 import (
 	"fmt"
+	"math"
 	"sort"
 
 	"p3q/internal/tagging"
@@ -26,20 +27,32 @@ import (
 //
 // Scanning stops when no candidate outside the current top-k — nor any
 // hypothetical item unseen in every list — has a best-case score above the
-// worst-case score of the k-th candidate.
+// worst-case score of the k-th candidate. That test reads only the top-k
+// and the largest best-case score outside it, so at each scan position
+// the operator selects the top-k in one bounded pass over the candidates
+// (ranked) and keeps only that maximum of the rest (restBest), instead of
+// sorting every candidate.
 type NRA struct {
 	k     int
 	lists []*scanList
 	cands map[tagging.ItemID]*candidate
-	// ranked is the candidate heap of Algorithm 4, ordered by descending
-	// worst-case score (ties: larger best-case first, then ascending item).
+	// seen holds every candidate in first-seen order; rebuildRanking walks
+	// it instead of the map.
+	seen []*candidate
+	// ranked is the top-k of the candidate heap of Algorithm 4, ordered by
+	// descending worst-case score (ties: larger best-case first, then
+	// ascending item). Items are unique, so the order is strict and the
+	// selected top-k is exactly the first k of a full sort.
 	ranked []*candidate
-	// bests caches each candidate's best-case score as of the last
-	// rebuildRanking.
-	bests map[tagging.ItemID]int
+	// restBest is the largest best-case score among candidates outside
+	// ranked as of the last rebuildRanking (math.MinInt when there are
+	// none).
+	restBest int
 	// sumLastSeen caches the sum of lastSeen over all lists as of the last
 	// rebuildRanking (the unseen-item bound).
 	sumLastSeen int
+	// lastSeen is rebuildRanking's scratch copy of every list's lastSeen.
+	lastSeen []int
 }
 
 type scanList struct {
@@ -65,6 +78,7 @@ func (l *scanList) exhausted() bool { return l.pos >= len(l.entries) }
 type candidate struct {
 	item  tagging.ItemID
 	worst int
+	best  int // best-case score as of the last rebuildRanking
 	// seenIn lists the indexes of the lists where the item has been seen,
 	// in ascending order (each list contributes at most once).
 	seenIn []int
@@ -78,7 +92,6 @@ func NewNRA(k int) *NRA {
 	return &NRA{
 		k:     k,
 		cands: make(map[tagging.ItemID]*candidate),
-		bests: make(map[tagging.ItemID]int),
 	}
 }
 
@@ -181,6 +194,7 @@ func (n *NRA) scanOne(li int) bool {
 	if c == nil {
 		c = &candidate{item: e.Item}
 		n.cands[e.Item] = c
+		n.seen = append(n.seen, c)
 	}
 	c.worst += e.Score
 	c.seenIn = append(c.seenIn, li)
@@ -201,33 +215,52 @@ func (n *NRA) TopK() []Entry {
 	return out
 }
 
-// rebuildRanking recomputes best-case scores and re-sorts the candidate
-// heap per Algorithm 4: descending worst-case, then descending best-case,
-// then ascending item ID.
+// rebuildRanking recomputes every candidate's best-case score, selects the
+// top-k into ranked by insertion and records the largest best-case score
+// left outside it in restBest.
 func (n *NRA) rebuildRanking() {
+	n.lastSeen = n.lastSeen[:0]
 	n.sumLastSeen = 0
 	for _, l := range n.lists {
-		n.sumLastSeen += l.lastSeen()
+		ls := l.lastSeen()
+		n.lastSeen = append(n.lastSeen, ls)
+		n.sumLastSeen += ls
 	}
 	n.ranked = n.ranked[:0]
-	for _, c := range n.cands {
-		n.ranked = append(n.ranked, c)
+	n.restBest = math.MinInt
+	for _, c := range n.seen {
 		b := c.worst + n.sumLastSeen
 		for _, li := range c.seenIn {
-			b -= n.lists[li].lastSeen()
+			b -= n.lastSeen[li]
 		}
-		n.bests[c.item] = b
+		c.best = b
+		if len(n.ranked) == n.k {
+			last := n.ranked[n.k-1]
+			if !ahead(c, last) {
+				n.restBest = max(n.restBest, b)
+				continue
+			}
+			n.restBest = max(n.restBest, last.best)
+			n.ranked = n.ranked[:n.k-1]
+		}
+		i := len(n.ranked)
+		n.ranked = append(n.ranked, c)
+		for ; i > 0 && ahead(c, n.ranked[i-1]); i-- {
+			n.ranked[i] = n.ranked[i-1]
+		}
+		n.ranked[i] = c
 	}
-	sort.Slice(n.ranked, func(i, j int) bool {
-		a, b := n.ranked[i], n.ranked[j]
-		if a.worst != b.worst {
-			return a.worst > b.worst
-		}
-		if n.bests[a.item] != n.bests[b.item] {
-			return n.bests[a.item] > n.bests[b.item]
-		}
-		return a.item < b.item
-	})
+}
+
+// ahead reports whether a ranks before b in the candidate heap.
+func ahead(a, b *candidate) bool {
+	if a.worst != b.worst {
+		return a.worst > b.worst
+	}
+	if a.best != b.best {
+		return a.best > b.best
+	}
+	return a.item < b.item
 }
 
 // NRAState is the serializable scan state of an incremental NRA operator:
@@ -296,7 +329,9 @@ func RestoreNRA(st NRAState) (*NRA, error) {
 				return nil, fmt.Errorf("topk: restored candidate %d seen in out-of-range list %d", c.Item, li)
 			}
 		}
-		n.cands[c.Item] = &candidate{item: c.Item, worst: c.Worst, seenIn: c.SeenIn}
+		cand := &candidate{item: c.Item, worst: c.Worst, seenIn: c.SeenIn}
+		n.cands[c.Item] = cand
+		n.seen = append(n.seen, cand)
 	}
 	n.rebuildRanking()
 	return n, nil
@@ -310,14 +345,7 @@ func (n *NRA) stopConditionMet() bool {
 	if len(n.ranked) < n.k {
 		return false
 	}
-	kthWorst := n.ranked[n.k-1].worst
-	maxBest := n.sumLastSeen // an item unseen everywhere could reach this
-	for _, c := range n.ranked[n.k:] {
-		if b := n.bests[c.item]; b > maxBest {
-			maxBest = b
-		}
-	}
-	return kthWorst >= maxBest
+	return n.ranked[n.k-1].worst >= max(n.sumLastSeen, n.restBest)
 }
 
 func contains(xs []int, x int) bool {

@@ -1,6 +1,10 @@
 package topk
 
-import "testing"
+import (
+	"math"
+	"runtime"
+	"testing"
+)
 
 // stateLists builds a stream of partial result lists with overlapping
 // items, so the NRA keeps candidates with unresolved bounds mid-stream.
@@ -57,6 +61,32 @@ func TestRestoreNRARejectsIncoherentState(t *testing.T) {
 	bad = NRAState{K: 2, Cands: []NRACandidateState{{Item: 1}, {Item: 1}}}
 	if _, err := RestoreNRA(bad); err == nil {
 		t.Fatal("accepted duplicate candidates")
+	}
+}
+
+// TestRestoreNRAHugeKIsCheap guards the checkpoint restorer: K is read
+// unbounded from the stream (a u32), so nothing the operator allocates may
+// be sized by k. A state with K = MaxUint32 must restore and run with
+// memory proportional to its lists, not to k.
+func TestRestoreNRAHugeKIsCheap(t *testing.T) {
+	lists := stateLists()
+	src := NewNRA(math.MaxUint32)
+	src.Run(lists[:2])
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	n, err := RestoreNRA(src.State())
+	if err != nil {
+		t.Fatal(err)
+	}
+	n.Run(lists[2:])
+	got := n.Drain()
+	runtime.ReadMemStats(&after)
+	if d := after.TotalAlloc - before.TotalAlloc; d > 1<<20 {
+		t.Fatalf("restoring and running a K=MaxUint32 operator allocated %d bytes", d)
+	}
+	// Every item is in the top-k, each with its full score.
+	if len(got) != 6 || got[0] != (Entry{Item: 1, Score: 17}) {
+		t.Fatalf("Drain = %v, want all 6 items led by item 1 at 17", got)
 	}
 }
 

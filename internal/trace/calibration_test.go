@@ -6,7 +6,8 @@ import (
 )
 
 // Calibration tests: the generator must hit the marginals it is asked for,
-// since the substitution argument (DESIGN.md §1) rests on them.
+// since the synthetic trace stands in for the paper's delicious crawl
+// (ARCHITECTURE.md, "Package map": internal/trace, §3.1) on their strength.
 
 func TestGeneratorHitsMeanItemsTarget(t *testing.T) {
 	for _, target := range []float64{20, 60, 120} {
@@ -91,7 +92,8 @@ func TestGeneratorCommunityOverlapScalesWithMix(t *testing.T) {
 
 func TestGeneratorStableUnderUserCount(t *testing.T) {
 	// Normalized marginals should be roughly invariant as the population
-	// grows (the scaling argument of DESIGN.md depends on it).
+	// grows (reduced-scale runs stand in for the paper's population on
+	// that assumption).
 	small := ComputeStats(Generate(GenParams{
 		Users: 200, Items: 2000, Tags: 600, Communities: 4,
 		MeanItems: 30, SigmaItems: 0.9, MaxItems: 2000,
