@@ -19,9 +19,10 @@
 // ns/op and allocs/op deltas of every benchmark present in both, and exits
 // non-zero when a tracked benchmark (by default the
 // BenchmarkLazyConvergence5k, BenchmarkEagerBurst5k,
-// BenchmarkLazyConvergence100k and BenchmarkNRARun families, override
-// with -track) slowed down
-// or allocated more by more than -threshold (default 10%). The allocs/op
+// BenchmarkLazyConvergence100k, BenchmarkNRARun and BenchmarkPlanIntegrate
+// families, override with -track) slowed down or allocated more by more
+// than -threshold (default 10%), or allocated at all when the old side did
+// not. The allocs/op
 // gate guards the pooled-plan engine: allocation counts are deterministic
 // where timings are noisy, so an allocation regression is meaningful even
 // at -benchtime=1x. CI runs the comparison against the previous commit's
@@ -45,6 +46,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sort"
@@ -71,9 +73,10 @@ type Report struct {
 // defaultTracked is the benchmark families whose regressions fail the
 // -compare mode: the two 5000-user engine benches the ROADMAP tracks
 // across commits, the 100k scaling probe the scheduled bench workflow
-// runs, and the querier-side NRA merge kernel (internal/topk), whose
-// allocs/op is deterministic.
-const defaultTracked = "BenchmarkLazyConvergence5k,BenchmarkEagerBurst5k,BenchmarkLazyConvergence100k,BenchmarkNRARun"
+// runs, and two kernels whose allocs/op is deterministic: the querier-side
+// NRA merge (internal/topk) and the lazy planner's step-1/2 integration
+// (internal/core), which allocates nothing.
+const defaultTracked = "BenchmarkLazyConvergence5k,BenchmarkEagerBurst5k,BenchmarkLazyConvergence100k,BenchmarkNRARun,BenchmarkPlanIntegrate"
 
 func main() {
 	out := flag.String("o", "", "output file (default: stdout)")
@@ -230,10 +233,15 @@ func compareReports(oldRep, newRep *Report, tracked []string, threshold float64,
 		nsDelta := (nw["ns/op"] - old["ns/op"]) / old["ns/op"]
 		line := fmt.Sprintf("%-60s %14.0f -> %14.0f ns/op  %+6.1f%%", k, old["ns/op"], nw["ns/op"], 100*nsDelta)
 		allocDelta, haveAllocs := 0.0, false
-		if oa, oaok := old["allocs/op"]; oaok && oa > 0 {
+		if oa, oaok := old["allocs/op"]; oaok {
 			if na, naok := nw["allocs/op"]; naok {
 				haveAllocs = true
-				allocDelta = (na - oa) / oa
+				switch {
+				case oa > 0:
+					allocDelta = (na - oa) / oa
+				case na > 0:
+					allocDelta = math.Inf(1) // an allocation-free bench started allocating
+				}
 				line += fmt.Sprintf("  %10.0f -> %10.0f allocs/op  %+6.1f%%", oa, na, 100*allocDelta)
 			}
 		}

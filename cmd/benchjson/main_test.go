@@ -160,6 +160,25 @@ func TestCompareTracksNRARunAllocs(t *testing.T) {
 	}
 }
 
+func TestCompareTracksPlanIntegrateAllocs(t *testing.T) {
+	// The lazy integration kernel is tracked by default and allocates
+	// nothing: any allocation is flagged even when ns/op improved, and an
+	// allocation-free run stays clean.
+	oldRep := mkMemReport(map[string][3]float64{"BenchmarkPlanIntegrate-2": {6000, 0, 0}})
+	newRep := mkMemReport(map[string][3]float64{"BenchmarkPlanIntegrate-2": {5000, 1, 64}})
+	var out strings.Builder
+	if n := compareReports(oldRep, newRep, splitTracked(defaultTracked), 0.10, &out); n != 1 {
+		t.Fatalf("regressions = %d, want 1 (BenchmarkPlanIntegrate allocs/op 0 -> 1)\n%s", n, out.String())
+	}
+	if !strings.Contains(out.String(), "BenchmarkPlanIntegrate") || !strings.Contains(out.String(), "[REGRESSION]") {
+		t.Fatalf("integration kernel regression not reported:\n%s", out.String())
+	}
+	out.Reset()
+	if n := compareReports(oldRep, oldRep, splitTracked(defaultTracked), 0.10, &out); n != 0 {
+		t.Fatalf("regressions = %d, want 0 (unchanged allocation-free run)\n%s", n, out.String())
+	}
+}
+
 func TestCompareTracks100kFamily(t *testing.T) {
 	oldRep := mkReport(map[string]float64{"BenchmarkLazyConvergence100k/workers=1-8": 100})
 	newRep := mkReport(map[string]float64{"BenchmarkLazyConvergence100k/workers=1-8": 150})

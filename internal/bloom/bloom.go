@@ -9,6 +9,12 @@
 // from two 64-bit hashes h1 + i*h2. Keys are 64-bit values; callers hash
 // their domain objects into uint64 first (tagging item IDs are widened
 // directly, then mixed).
+//
+// A probe hash h is reduced to the bit index h % m. New fixes the reduction
+// once per filter: when m is a power of two (the 2048-bit digests, for
+// instance) h % m equals h & (m-1), so those probes do not divide; every
+// other m keeps the hardware remainder. Either way every bit position, and
+// therefore every false positive, is that of h % m.
 package bloom
 
 import (
@@ -32,6 +38,10 @@ type Filter struct {
 	m     uint64 // number of bits
 	k     int    // number of hash functions
 	count int    // number of Add calls (approximate cardinality)
+
+	// mask is m-1 when m is a power of two, so a probe reduces by masking;
+	// 0 otherwise (m >= 64, so a real mask is never 0).
+	mask uint64
 }
 
 // New returns a filter with m bits and k hash functions. m is rounded up to
@@ -44,11 +54,26 @@ func New(m int, k int) *Filter {
 		k = 1
 	}
 	words := (m + 63) / 64
-	return &Filter{
+	f := &Filter{
 		bits: make([]uint64, words),
 		m:    uint64(words * 64),
 		k:    k,
 	}
+	if f.m&(f.m-1) == 0 {
+		f.mask = f.m - 1
+	}
+	return f
+}
+
+// reduce maps a probe hash to its bit position h % m, through the mask
+// when one is set. Add and Test copy the filter's geometry into locals
+// before their probe loops: the bit stores could otherwise alias the
+// fields and force a reload on every probe.
+func reduce(h, m, mask uint64) uint64 {
+	if mask != 0 {
+		return h & mask
+	}
+	return h % m
 }
 
 // NewWithEstimate returns a filter sized for n keys at the target
@@ -90,10 +115,12 @@ func hashes(key uint64) (h1, h2 uint64) {
 
 // Add inserts the key into the filter.
 func (f *Filter) Add(key uint64) {
-	h1, h2 := hashes(key)
+	h, h2 := hashes(key)
+	m, mask := f.m, f.mask
 	for i := 0; i < f.k; i++ {
-		idx := (h1 + uint64(i)*h2) % f.m
+		idx := reduce(h, m, mask)
 		f.bits[idx/64] |= 1 << (idx % 64)
+		h += h2
 	}
 	f.count++
 }
@@ -101,12 +128,14 @@ func (f *Filter) Add(key uint64) {
 // Test reports whether the key may be in the filter. False positives are
 // possible; false negatives are not.
 func (f *Filter) Test(key uint64) bool {
-	h1, h2 := hashes(key)
+	h, h2 := hashes(key)
+	m, mask := f.m, f.mask
 	for i := 0; i < f.k; i++ {
-		idx := (h1 + uint64(i)*h2) % f.m
+		idx := reduce(h, m, mask)
 		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
 			return false
 		}
+		h += h2
 	}
 	return true
 }
@@ -158,14 +187,10 @@ func (f *Filter) Equal(g *Filter) bool {
 
 // Clone returns a deep copy of the filter.
 func (f *Filter) Clone() *Filter {
-	c := &Filter{
-		bits:  make([]uint64, len(f.bits)),
-		m:     f.m,
-		k:     f.k,
-		count: f.count,
-	}
+	c := *f
+	c.bits = make([]uint64, len(f.bits))
 	copy(c.bits, f.bits)
-	return c
+	return &c
 }
 
 // Union ORs the other filter into this one. Both filters must have the same

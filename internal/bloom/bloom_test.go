@@ -310,20 +310,122 @@ func TestDeterministicAcrossInstances(t *testing.T) {
 	}
 }
 
+// refAdd and refTest are the plain-modulo probe loops the reductions
+// replaced: bit (h1 + i*h2) % m for every i < k.
+func refAdd(f *Filter, key uint64) {
+	h1, h2 := hashes(key)
+	for i := 0; i < f.k; i++ {
+		idx := (h1 + uint64(i)*h2) % f.m
+		f.bits[idx/64] |= 1 << (idx % 64)
+	}
+	f.count++
+}
+
+func refTest(f *Filter, key uint64) bool {
+	h1, h2 := hashes(key)
+	for i := 0; i < f.k; i++ {
+		idx := (h1 + uint64(i)*h2) % f.m
+		if f.bits[idx/64]&(1<<(idx%64)) == 0 {
+			return false
+		}
+	}
+	return true
+}
+
+// reductionGeometries are the filter sizes the reduction tests cover: the
+// mask path (64 and 2048 bits), the remainder path at the paper's 20 Kbit,
+// and NewWithEstimate sizes, which are arbitrary multiples of 64.
+func reductionGeometries() []*Filter {
+	return []*Filter{
+		New(64, 3), New(2048, 6), New(DefaultBits, DefaultHashes),
+		NewWithEstimate(100, 0.01), NewWithEstimate(2000, 0.001), NewWithEstimate(7, 0.2),
+	}
+}
+
+func TestReductionMatchesModulo(t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	for _, f := range reductionGeometries() {
+		if pow2 := f.m&(f.m-1) == 0; pow2 != (f.mask != 0) {
+			t.Fatalf("m=%d: mask path = %v, want %v", f.m, f.mask != 0, pow2)
+		}
+		for n := 0; n < 100000; n++ {
+			h1, h2 := hashes(rng.Uint64())
+			h := h1
+			for i := 0; i < f.k; i++ {
+				if got, want := reduce(h, f.m, f.mask), (h1+uint64(i)*h2)%f.m; got != want {
+					t.Fatalf("m=%d probe %d of h1=%#x h2=%#x: index %d, want %d", f.m, i, h1, h2, got, want)
+				}
+				h += h2
+			}
+		}
+	}
+}
+
+func TestFiltersMatchModuloReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, f := range reductionGeometries() {
+		g := New(int(f.m), f.k)
+		ref, refG := New(int(f.m), f.k), New(int(f.m), f.k)
+		for n := 0; n < 2000; n++ {
+			ka, kb := rng.Uint64(), rng.Uint64()
+			f.Add(ka)
+			refAdd(ref, ka)
+			g.Add(kb)
+			refAdd(refG, kb)
+		}
+		if !f.Equal(ref) || !g.Equal(refG) || f.AddCount() != ref.AddCount() {
+			t.Fatalf("m=%d: Add sets different bits than the modulo reference", f.m)
+		}
+		for n := 0; n < 20000; n++ {
+			key := rng.Uint64()
+			if got, want := f.Test(key), refTest(ref, key); got != want {
+				t.Fatalf("m=%d: Test(%#x) = %v, reference %v", f.m, key, got, want)
+			}
+		}
+		u, refU := f.Clone(), ref.Clone()
+		u.Union(g)
+		refU.Union(refG)
+		if !u.Equal(refU) || u.AddCount() != refU.AddCount() {
+			t.Fatalf("m=%d: Union differs from the modulo reference", f.m)
+		}
+	}
+}
+
+var sinkHit bool
+
+// benchGeometries are the digest geometries the micro-benches probe: the
+// benchmark's power-of-two 2048-bit digests (mask reduction) and the
+// paper's 20 Kbit filters (hardware remainder).
+var benchGeometries = []struct {
+	name string
+	m, k int
+}{
+	{"bits=2048", 2048, 6},
+	{"bits=20480", DefaultBits, DefaultHashes},
+}
+
 func BenchmarkAdd(b *testing.B) {
-	f := New(DefaultBits, DefaultHashes)
-	for i := 0; i < b.N; i++ {
-		f.Add(uint64(i))
+	for _, g := range benchGeometries {
+		b.Run(g.name, func(b *testing.B) {
+			f := New(g.m, g.k)
+			for i := 0; i < b.N; i++ {
+				f.Add(uint64(i))
+			}
+		})
 	}
 }
 
 func BenchmarkTest(b *testing.B) {
-	f := New(DefaultBits, DefaultHashes)
-	for i := 0; i < 1000; i++ {
-		f.Add(uint64(i))
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		f.Test(uint64(i))
+	for _, g := range benchGeometries {
+		b.Run(g.name, func(b *testing.B) {
+			f := New(g.m, g.k)
+			for i := 0; i < 1000; i++ {
+				f.Add(uint64(i))
+			}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sinkHit = f.Test(uint64(i))
+			}
+		})
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"time"
 
@@ -765,9 +767,7 @@ func (e *Engine) selectEagerDest(u *Node, p *eagerPlan, rng *randx.Source) *Node
 	// Oldest timestamps first; equal timestamps in random order so repeated
 	// queries do not always walk the same destination sequence.
 	rng.Shuffle(len(inPnet), func(i, j int) { inPnet[i], inPnet[j] = inPnet[j], inPnet[i] })
-	sort.SliceStable(inPnet, func(i, j int) bool {
-		return inPnet[i].Age() > inPnet[j].Age()
-	})
+	slices.SortStableFunc(inPnet, func(x, y *Entry) int { return cmp.Compare(y.Age(), x.Age()) })
 	p.inPnet = inPnet
 	// Assemble the canonical order — personal-network members first, then
 	// the shuffled others, which were collected at the head of the buffer —

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"p3q/internal/gossip"
 	"p3q/internal/randx"
@@ -148,14 +149,6 @@ func (e *Engine) commitViewShard(a *Node, p *viewPlan, sh *commitShard) {
 // requestBytes is the size charged for a bare "send me X" request message.
 const requestBytes = 8
 
-// sortEntriesByAge stable-sorts entries by decreasing gossip age,
-// preserving the incoming order among ties.
-func sortEntriesByAge(entries []Entry) {
-	sort.SliceStable(entries, func(i, j int) bool {
-		return entries[i].Age() > entries[j].Age()
-	})
-}
-
 // descriptorsWireSize is the wire size of a peer-sampling buffer: one
 // digest per descriptor.
 func descriptorsWireSize(ds []gossip.Descriptor) int {
@@ -196,7 +189,7 @@ type topPlan struct {
 	rv []rvContact
 
 	// Plan-phase scratch.
-	partners []Entry                // PartnersByAge buffer
+	partners []partnerAge           // partner order, oldest gossip first
 	seen     map[tagging.UserID]int // evaluated-cache overlay, cleared per cycle
 	oneOffer [1]offer               // backing array for single-offer integrations
 }
@@ -230,28 +223,29 @@ func (e *Engine) planTopInto(a *Node, seq uint64, p *topPlan) {
 	e.net.InitLedger(&p.ledger)
 	rng := a.rng.Derive(planLabel(seq, purposeTop, 0))
 
-	p.partners = a.pnet.AppendPartnersByAge(p.partners)
+	p.partners = a.pnet.appendAgeOrder(p.partners)
 	partners := p.partners
 	// Equal timestamps (common right after bootstrap) are tried in random
-	// order so the first cycles do not all hit the lowest IDs.
+	// order so the first cycles do not all hit the lowest IDs: shuffle,
+	// then stable-sort by decreasing age (increasing last).
 	rng.Shuffle(len(partners), func(i, j int) { partners[i], partners[j] = partners[j], partners[i] })
-	sortEntriesByAge(partners)
+	slices.SortStableFunc(partners, func(x, y partnerAge) int { return cmp.Compare(x.last, y.last) })
 	var b *Node
 	probes := 0
 	for _, pe := range partners {
 		if probes >= e.cfg.MaxProbes {
 			break
 		}
-		if !e.net.Online(pe.ID) {
-			p.ledger.Send(a.id, pe.ID, sim.MsgProbe, 0)
+		if !e.net.Online(pe.id) {
+			p.ledger.Send(a.id, pe.id, sim.MsgProbe, 0)
 			probes++
 			// Keep the entry (her profile stays meaningful, §3.4.2) but
 			// reset the timestamp so other neighbours are tried first in
 			// the following cycles.
-			p.resets = append(p.resets, pe.ID)
+			p.resets = append(p.resets, pe.id)
 			continue
 		}
-		b = e.nodes[pe.ID]
+		b = e.nodes[pe.id]
 		break
 	}
 
@@ -440,8 +434,8 @@ func naiveOffersBytes(offers []offer) uint64 {
 // sizes of steps 1-2 of Algorithm 1. Step 3 (profile storage) depends on
 // the personal network as committed, so it is resolved at commit time.
 // Integrations are embedded by value in their owning plan slots and
-// re-initialized in place by planIntegrateInto; the common/actions scratch
-// buffers persist across cycles.
+// re-initialized in place by planIntegrateInto; the common-item scratch
+// buffer persists across cycles.
 type integration struct {
 	ok        bool // false: every offer was filtered out, nothing to commit
 	provider  tagging.UserID
@@ -450,8 +444,7 @@ type integration struct {
 	respBytes int
 
 	// Step-2 scratch, reused per offer.
-	common  []tagging.ItemID
-	actions []tagging.Action
+	common []tagging.ItemID
 }
 
 // intResult is one scored offer inside an integration. applied is written
@@ -512,18 +505,12 @@ func planIntegrateInto(it *integration, n *Node, offers []offer, provider taggin
 		// exact score.
 		it.common = appendCommonItems(it.common, n.profile, o.digest)
 		it.reqBytes += tagging.ItemsWireSize(len(it.common))
-		it.actions = o.snap.AppendActionsOnItems(it.actions, it.common)
-		it.respBytes += tagging.ActionsWireSize(len(it.actions))
-		score := 0
-		for _, a := range it.actions {
-			if n.profile.Has(a.Item, a.Tag) {
-				score++
-			}
-		}
+		received, score := o.snap.ScoreOnItems(n.profile, it.common)
+		it.respBytes += tagging.ActionsWireSize(received)
 		if seen != nil {
 			seen[owner] = o.digest.Version
 		}
-		it.results = append(it.results, intResult{o: o, score: score, received: len(it.actions), version: o.digest.Version})
+		it.results = append(it.results, intResult{o: o, score: score, received: received, version: o.digest.Version})
 	}
 	it.ok = len(it.results) > 0
 }

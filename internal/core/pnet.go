@@ -1,6 +1,8 @@
 package core
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 
 	"p3q/internal/tagging"
@@ -77,7 +79,7 @@ type rankSlot struct {
 // Gossip ages run off a per-network logical clock (clock advances once per
 // Touch; an entry's age is clock - last), so Touch is O(1) instead of an
 // increment-every-neighbour walk, and the age ordering consumed by
-// PartnersByAge is memoized (as positions into the ranking) until a touch or
+// appendAgeOrder is memoized (as positions into the ranking) until a touch or
 // a ranking mutation invalidates it.
 type PersonalNetwork struct {
 	self tagging.UserID //p3q:transient implicit: the owning node's id, re-derived by the restoring node
@@ -90,7 +92,7 @@ type PersonalNetwork struct {
 	idxMask int
 	// clock counts Touch calls; entries age implicitly as it advances.
 	clock uint64
-	// byAge memoizes the PartnersByAge ordering (ascending last, ascending
+	// byAge memoizes the appendAgeOrder ordering (ascending last, ascending
 	// ID) as positions into ranking; nil when stale. Pure aging (clock
 	// advancing) preserves the ordering, so only touches and ranking
 	// mutations invalidate it.
@@ -315,8 +317,8 @@ func (pn *PersonalNetwork) appendEntry(e Entry) {
 
 // Prepare pre-builds the memoized age ordering if it is stale. The engine
 // calls it for every node before a lazy planning phase so that
-// AppendPartnersByAge is free of lazy rebuilds and therefore safe to call
-// from concurrent planners. The ranking itself needs no preparation: it is
+// appendAgeOrder is free of lazy rebuilds and therefore safe to call from
+// concurrent planners. The ranking itself needs no preparation: it is
 // maintained sorted on every Upsert.
 //
 //p3q:phase plan
@@ -409,34 +411,36 @@ func (pn *PersonalNetwork) orderedByAge() []uint32 {
 		for i := range pn.byAge {
 			pn.byAge[i] = uint32(i)
 		}
-		sort.Slice(pn.byAge, func(i, j int) bool {
-			a, b := &pn.ranking[pn.byAge[i]], &pn.ranking[pn.byAge[j]]
-			if a.last != b.last {
-				return a.last < b.last
+		slices.SortFunc(pn.byAge, func(i, j uint32) int {
+			a, b := &pn.ranking[i], &pn.ranking[j]
+			if c := cmp.Compare(a.last, b.last); c != 0 {
+				return c
 			}
-			return a.ID < b.ID
+			return cmp.Compare(a.ID, b.ID)
 		})
 	}
 	return pn.byAge
 }
 
-// PartnersByAge returns the neighbours ordered by decreasing age (oldest
-// gossip first; ties: ascending ID) — the lazy-mode partner preference of
-// §2.2.1. The returned slice is a fresh copy the caller may reorder freely.
-func (pn *PersonalNetwork) PartnersByAge() []Entry {
-	return pn.AppendPartnersByAge(nil)
+// partnerAge is the pointer-free key the lazy planner orders partners by:
+// an entry's last-gossip clock value (older gossip = smaller last) and ID.
+type partnerAge struct {
+	last uint64
+	id   tagging.UserID
 }
 
-// AppendPartnersByAge is PartnersByAge appending entry copies into a
-// caller-owned buffer (reusing its capacity) and returning it. The planners
-// call it with plan-slot buffers; Prepare has pre-built the age memo, so
-// concurrent planners only read.
+// appendAgeOrder appends the neighbours' age keys in decreasing age (oldest
+// gossip first; ties: ascending ID) — the lazy-mode partner preference of
+// §2.2.1 — into a caller-owned buffer (reusing its capacity) and returns
+// it. The planners call it with plan-slot buffers; Prepare has pre-built
+// the age memo, so concurrent planners only read.
 //
 //p3q:hotpath
-func (pn *PersonalNetwork) AppendPartnersByAge(dst []Entry) []Entry {
+func (pn *PersonalNetwork) appendAgeOrder(dst []partnerAge) []partnerAge {
 	dst = dst[:0]
 	for _, i := range pn.orderedByAge() {
-		dst = append(dst, pn.ranking[i])
+		e := &pn.ranking[i]
+		dst = append(dst, partnerAge{last: e.last, id: e.ID})
 	}
 	return dst
 }

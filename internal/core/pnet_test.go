@@ -7,6 +7,17 @@ import (
 	"p3q/internal/tagging"
 )
 
+// PartnersByAge returns copies of the neighbours in the lazy planner's
+// partner preference: decreasing age (oldest gossip first; ties: ascending
+// ID).
+func (pn *PersonalNetwork) PartnersByAge() []Entry {
+	var out []Entry
+	for _, i := range pn.orderedByAge() {
+		out = append(out, pn.ranking[i])
+	}
+	return out
+}
+
 func mkDigest(owner tagging.UserID, version int) *tagging.Digest {
 	p := tagging.NewProfile(owner)
 	for i := 0; i < version; i++ {

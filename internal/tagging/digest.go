@@ -14,66 +14,20 @@ type Digest struct {
 	Version int // profile length when the digest was produced
 }
 
-// NewDigest builds the digest of the snapshot with the given Bloom geometry.
+// NewDigest builds the digest of the snapshot with the given Bloom geometry:
+// one filter Add per distinct item the snapshot contains. A partial
+// snapshot selects its items through the chain heads (an item is visible
+// when its chain starts inside the prefix), so no dedupe scratch is needed;
+// Bloom adds commute, so the bits and the add count equal those of adding
+// the items in log order.
 func NewDigest(s Snapshot, mBits, kHashes int) *Digest {
-	var b DigestBuilder
-	return b.Build(s, mBits, kHashes)
-}
-
-// DigestBuilder builds digests with reusable dedupe scratch. The zero value
-// is ready to use. A builder is not safe for concurrent use; own one per
-// goroutine (the engine keeps one per restore/rebuild site).
-type DigestBuilder struct {
-	seen map[ItemID]struct{}
-}
-
-// Build returns a fresh digest of the snapshot, reusing the builder's
-// scratch. The result is identical to NewDigest.
-func (b *DigestBuilder) Build(s Snapshot, mBits, kHashes int) *Digest {
 	f := bloom.New(mBits, kHashes)
-	b.fill(f, s)
-	return &Digest{Owner: s.Owner(), Items: f, Version: s.Version()}
-}
-
-// Rebuild re-digests the snapshot into d in place, resetting and refilling
-// the existing Bloom filter instead of allocating a new one. The filter's
-// geometry is kept.
-//
-// Aliasing hazard: digests are shared by pointer — a node's neighbours hold
-// *Digest references in their views and personal networks. Rebuild mutates
-// the pointed-to digest, so it is only safe for digests that have never
-// escaped (e.g. scratch digests owned by a single builder), never for a
-// node's published digest.
-func (b *DigestBuilder) Rebuild(d *Digest, s Snapshot) {
-	d.Items.Reset()
-	b.fill(d.Items, s)
-	d.Owner = s.Owner()
-	d.Version = s.Version()
-}
-
-// fill adds the snapshot's distinct items to the filter. A full snapshot
-// walks the profile's sorted item memo directly; a partial one dedupes the
-// log prefix through the reusable seen set. The filter bits and add count
-// are identical either way (Bloom adds commute and both paths add each
-// distinct item exactly once).
-func (b *DigestBuilder) fill(f *bloom.Filter, s Snapshot) {
-	if s.n == len(s.p.log) {
-		for _, it := range s.p.itemsSorted {
+	for i, it := range s.p.itemsSorted {
+		if int(s.p.chains[i].head) < s.n {
 			f.Add(itemKey(it))
 		}
-		return
 	}
-	if b.seen == nil {
-		b.seen = make(map[ItemID]struct{}, 64)
-	}
-	clear(b.seen)
-	for _, a := range s.p.log[:s.n] {
-		if _, dup := b.seen[a.Item]; dup {
-			continue
-		}
-		b.seen[a.Item] = struct{}{}
-		f.Add(itemKey(a.Item))
-	}
+	return &Digest{Owner: s.Owner(), Items: f, Version: s.Version()}
 }
 
 // itemKey widens an item ID into the 64-bit key space of the Bloom filter.

@@ -129,44 +129,3 @@ func digestsIdentical(a, b *Digest) bool {
 	return a.Owner == b.Owner && a.Version == b.Version &&
 		a.Items.Equal(b.Items) && a.Items.AddCount() == b.Items.AddCount()
 }
-
-func TestDigestBuilderBuildMatchesNewDigest(t *testing.T) {
-	// Build with reused scratch must be indistinguishable from NewDigest,
-	// on both fill paths: a full snapshot (sorted item memo) and a partial
-	// one (log-prefix dedupe through the builder's seen set).
-	p := NewProfile(4)
-	for i := 0; i < 50; i++ {
-		p.Add(ItemID(i%17), TagID(i%3)) // duplicates exercise the dedupe
-	}
-	partial := p.SnapshotAt(20)
-	full := p.Snapshot()
-	var b DigestBuilder
-	for _, s := range []Snapshot{partial, full, partial} { // reuse across calls
-		got := b.Build(s, 2048, 6)
-		want := NewDigest(s, 2048, 6)
-		if !digestsIdentical(got, want) {
-			t.Fatalf("Build(version %d) diverged from NewDigest", s.Version())
-		}
-	}
-}
-
-func TestDigestBuilderRebuildMatchesFresh(t *testing.T) {
-	p := NewProfile(4)
-	p.Add(1, 1)
-	var b DigestBuilder
-	d := b.Build(p.Snapshot(), 2048, 6)
-	filter := d.Items
-	for i := 0; i < 30; i++ {
-		p.Add(ItemID(100+i), 2)
-	}
-	b.Rebuild(d, p.Snapshot())
-	if d.Items != filter {
-		t.Fatal("Rebuild replaced the filter instead of refilling it in place")
-	}
-	if d.Items.Bits() != 2048 || d.Items.Hashes() != 6 {
-		t.Fatalf("Rebuild changed the geometry to %d/%d", d.Items.Bits(), d.Items.Hashes())
-	}
-	if want := NewDigest(p.Snapshot(), 2048, 6); !digestsIdentical(d, want) {
-		t.Fatal("Rebuild diverged from a freshly built digest")
-	}
-}

@@ -13,8 +13,10 @@
 package tagging
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math"
+	"slices"
 )
 
 // UserID identifies a user (and, in the simulated network, the node run by
@@ -45,6 +47,15 @@ func ActionFromKey(k uint64) Action {
 
 // Profile is the append-only tagging history of one user.
 //
+// Besides the log, a profile keeps an item chain index: itemsSorted lists
+// the distinct items in ascending order, chains (aligned with it) holds the
+// log positions of the first and last action on each item, and next links
+// every log position to the next position on the same item.
+// Add only ever appends to a chain, so every chain is ascending and a
+// prefix view of the first n actions reads each chain up to the first
+// position >= n: the index serves every version-prefix Snapshot without
+// copying (see ARCHITECTURE.md, "Why step 2 walks item chains").
+//
 // The zero value is not usable; create profiles with NewProfile. Profile is
 // not safe for concurrent mutation; concurrent readers are safe as long as
 // no writer is active.
@@ -52,21 +63,26 @@ type Profile struct {
 	owner UserID
 	log   []Action       // append-only action log
 	index map[uint64]int // action key -> position in log
-	items map[ItemID]int // item -> number of actions on it (distinct tags)
 
-	// itemsSorted mirrors the keys of items in ascending order, maintained
-	// incrementally by Add. It makes Items a zero-allocation accessor, which
-	// matters because the engine's integration planner walks the item list
-	// once per offer.
-	itemsSorted []ItemID
+	itemsSorted []ItemID // distinct items, ascending
+	chains      []chain  // per item, aligned with itemsSorted
+	next        []int32  // per log position: next position on the same item, or chainEnd
 }
+
+// chain locates one item's actions in the log: the positions of the first
+// (head) and last (tail) action on it.
+type chain struct{ head, tail int32 }
+
+// chainEnd terminates an item chain. It is larger than any log position, so
+// a walk bounded by a snapshot length n (pos < n) also stops at the tail,
+// and an item is visible in the first n actions exactly when its head < n.
+const chainEnd = math.MaxInt32
 
 // NewProfile returns an empty profile owned by the given user.
 func NewProfile(owner UserID) *Profile {
 	return &Profile{
 		owner: owner,
 		index: make(map[uint64]int),
-		items: make(map[ItemID]int),
 	}
 }
 
@@ -83,7 +99,18 @@ func (p *Profile) Len() int { return len(p.log) }
 func (p *Profile) Version() int { return len(p.log) }
 
 // NumItems returns the number of distinct items tagged in the profile.
-func (p *Profile) NumItems() int { return len(p.items) }
+func (p *Profile) NumItems() int { return len(p.itemsSorted) }
+
+// itemIndex returns the position of item in itemsSorted[from:] (offset by
+// from) and whether it is there; when absent, the position is where it
+// would be inserted. Callers walking an ascending item list pass the
+// previous result as from, narrowing each search.
+//
+//p3q:hotpath
+func (p *Profile) itemIndex(from int, item ItemID) (int, bool) {
+	i, ok := slices.BinarySearch(p.itemsSorted[from:], item)
+	return from + i, ok
+}
 
 // Add records the action (item, tag). It returns false if the exact action
 // was already present (a user tagging the same item with the same tag twice
@@ -94,15 +121,20 @@ func (p *Profile) Add(item ItemID, tag TagID) bool {
 	if _, dup := p.index[k]; dup {
 		return false
 	}
-	p.index[k] = len(p.log)
-	p.log = append(p.log, a)
-	if p.items[item] == 0 {
-		i := sort.Search(len(p.itemsSorted), func(i int) bool { return p.itemsSorted[i] >= item })
-		p.itemsSorted = append(p.itemsSorted, 0)
-		copy(p.itemsSorted[i+1:], p.itemsSorted[i:])
-		p.itemsSorted[i] = item
+	pos := len(p.log)
+	if pos >= chainEnd {
+		panic("tagging: profile log exceeds the chain index's int32 positions")
 	}
-	p.items[item]++
+	p.index[k] = pos
+	p.log = append(p.log, a)
+	p.next = append(p.next, chainEnd)
+	if i, ok := p.itemIndex(0, item); ok {
+		p.next[p.chains[i].tail] = int32(pos)
+		p.chains[i].tail = int32(pos)
+	} else {
+		p.itemsSorted = slices.Insert(p.itemsSorted, i, item)
+		p.chains = slices.Insert(p.chains, i, chain{head: int32(pos), tail: int32(pos)})
+	}
 	return true
 }
 
@@ -126,7 +158,7 @@ func (p *Profile) Has(item ItemID, tag TagID) bool {
 
 // HasItem reports whether the profile contains any action on the item.
 func (p *Profile) HasItem(item ItemID) bool {
-	_, ok := p.items[item]
+	_, ok := p.itemIndex(0, item)
 	return ok
 }
 
@@ -143,11 +175,13 @@ func (p *Profile) Items() []ItemID { return p.itemsSorted }
 
 // TagsFor returns the tags the owner used on the item, in log order.
 func (p *Profile) TagsFor(item ItemID) []TagID {
+	i, ok := p.itemIndex(0, item)
+	if !ok {
+		return nil
+	}
 	var out []TagID
-	for _, a := range p.log {
-		if a.Item == item {
-			out = append(out, a.Tag)
-		}
+	for pos := p.chains[i].head; pos != chainEnd; pos = p.next[pos] {
+		out = append(out, p.log[pos].Tag)
 	}
 	return out
 }
@@ -210,7 +244,7 @@ func (p *Profile) CommonItems(other Snapshot) []ItemID {
 
 // String implements fmt.Stringer for debugging.
 func (p *Profile) String() string {
-	return fmt.Sprintf("profile(user=%d actions=%d items=%d)", p.owner, len(p.log), len(p.items))
+	return fmt.Sprintf("profile(user=%d actions=%d items=%d)", p.owner, len(p.log), len(p.itemsSorted))
 }
 
 // Snapshot is an immutable point-in-time view of a profile: its first n
@@ -247,65 +281,91 @@ func (s Snapshot) Has(item ItemID, tag TagID) bool {
 	return ok && pos < s.n
 }
 
-// HasItem reports whether the snapshot contains any action on the item.
-// Note: because the item count map is not versioned, this scans the log
-// prefix only when the snapshot is stale; the common case (fresh snapshot)
-// is a map lookup.
+// HasItem reports whether the snapshot contains any action on the item:
+// the item's chain starts inside the visible prefix.
 func (s Snapshot) HasItem(item ItemID) bool {
-	if !s.p.HasItem(item) {
-		return false
-	}
-	if s.n == len(s.p.log) {
-		return true
-	}
-	for _, a := range s.p.log[:s.n] {
-		if a.Item == item {
-			return true
-		}
-	}
-	return false
+	i, ok := s.p.itemIndex(0, item)
+	return ok && int(s.p.chains[i].head) < s.n
 }
 
-// Items returns the distinct items visible in the snapshot, ascending.
+// Items returns the distinct items visible in the snapshot, ascending. A
+// full snapshot returns the profile's own item memo, which must not be
+// modified; a partial one returns a fresh slice.
 func (s Snapshot) Items() []ItemID {
 	if s.n == len(s.p.log) {
 		return s.p.Items()
 	}
-	seen := make(map[ItemID]struct{})
-	for _, a := range s.p.log[:s.n] {
-		seen[a.Item] = struct{}{}
+	var out []ItemID
+	for i, it := range s.p.itemsSorted {
+		if int(s.p.chains[i].head) < s.n {
+			out = append(out, it)
+		}
 	}
-	out := make([]ItemID, 0, len(seen))
-	for it := range seen {
-		out = append(out, it)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
-// ActionsOnItems returns the snapshot's actions restricted to the given
-// items. This is the payload of the second step of the 3-step profile
+// AppendActionsOnItems appends the snapshot's actions on the given items,
+// in log order, into a caller-owned buffer (reusing its capacity) and
+// returns it. This is the payload of the second step of the 3-step profile
 // exchange ("require her tagging actions for the common items").
-func (s Snapshot) ActionsOnItems(items []ItemID) []Action {
-	return s.AppendActionsOnItems(nil, items)
-}
-
-// AppendActionsOnItems is ActionsOnItems appending into a caller-owned
-// buffer (reusing its capacity) and returning it. Membership is a linear
-// scan over items — the common-item lists this is called with are short, so
-// the scan beats building a per-call set and allocates nothing once the
-// buffer is warm.
+//
+// It walks only the chains of the requested items: the chain positions are
+// collected into dst first (parked in the Item field) and sorted, which
+// restores log order across chains and lets a repeated item be dropped,
+// then replaced by the actions they point at. Nothing is allocated once
+// the buffer is warm.
 //
 //p3q:hotpath
 func (s Snapshot) AppendActionsOnItems(dst []Action, items []ItemID) []Action {
 	dst = dst[:0]
-	for _, a := range s.p.log[:s.n] {
-		for _, it := range items {
-			if a.Item == it {
-				dst = append(dst, a)
-				break
+	for _, it := range items {
+		i, ok := s.p.itemIndex(0, it)
+		if !ok {
+			continue
+		}
+		for pos := int(s.p.chains[i].head); pos < s.n; pos = int(s.p.next[pos]) {
+			dst = append(dst, Action{Item: ItemID(pos)})
+		}
+	}
+	slices.SortFunc(dst, func(a, b Action) int { return cmp.Compare(a.Item, b.Item) })
+	dst = slices.CompactFunc(dst, func(a, b Action) bool { return a.Item == b.Item })
+	for i := range dst {
+		dst[i] = s.p.log[dst[i].Item]
+	}
+	return dst
+}
+
+// ScoreOnItems is step 2 of the exchange scored in one pass: received is
+// the number of the snapshot's actions on the given items (the length of
+// AppendActionsOnItems), and score is how many of those actions holder
+// also has. items must be ascending and distinct. Each item's snapshot
+// chain is matched against holder's own chain for the same item, so no
+// action is looked up by hash.
+//
+//p3q:hotpath
+func (s Snapshot) ScoreOnItems(holder *Profile, items []ItemID) (received, score int) {
+	at, hat := 0, 0
+	for _, it := range items {
+		i, ok := s.p.itemIndex(at, it)
+		at = i
+		if !ok || int(s.p.chains[i].head) >= s.n {
+			continue
+		}
+		hi, hok := holder.itemIndex(hat, it)
+		hat = hi
+		for pos := int(s.p.chains[i].head); pos < s.n; pos = int(s.p.next[pos]) {
+			received++
+			if !hok {
+				continue
+			}
+			tag := s.p.log[pos].Tag
+			for q := holder.chains[hi].head; q != chainEnd; q = holder.next[q] {
+				if holder.log[q].Tag == tag {
+					score++
+					break
+				}
 			}
 		}
 	}
-	return dst
+	return received, score
 }

@@ -236,9 +236,9 @@ func TestSnapshotActionsOnItems(t *testing.T) {
 	p.Add(1, 2)
 	p.Add(2, 1)
 	p.Add(3, 1)
-	got := p.Snapshot().ActionsOnItems([]ItemID{1, 3})
+	got := p.Snapshot().AppendActionsOnItems(nil, []ItemID{1, 3})
 	if len(got) != 3 {
-		t.Fatalf("ActionsOnItems returned %d actions, want 3", len(got))
+		t.Fatalf("AppendActionsOnItems returned %d actions, want 3", len(got))
 	}
 	for _, a := range got {
 		if a.Item != 1 && a.Item != 3 {
